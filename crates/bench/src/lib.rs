@@ -9,7 +9,6 @@
 //! | `certainty_stats` | §III statistical certainty model |
 //! | `fig13_titan` | §VII / Fig. 13 production-harness matrix |
 //! | `perf_suite` | suite execution throughput (Criterion) |
-//! | `perf_device` | device-engine throughput, deterministic vs parallel (Criterion) |
 //! | `perf_template` | template expansion & front-end throughput (Criterion) |
 //!
 //! Run them all with `cargo bench --workspace`, or one with

@@ -75,45 +75,23 @@ pub enum ExecMode {
     Vm,
     /// The original AST tree-walker, kept as the reference oracle.
     Walk,
-    /// The bytecode VM with the parallel gang engine enabled: provably
-    /// race-free partitioned loops execute as data-parallel element
-    /// kernels over a worker pool (see `par`); everything else falls back
-    /// to the serial VM. `threads == 0` means auto (one per core).
-    Par {
-        /// Worker threads (0 = auto).
-        threads: u16,
-    },
 }
 
 impl ExecMode {
-    /// Parse the `--exec-mode` CLI spelling (`vm`, `walk`, `par`,
-    /// `par:<threads>`).
+    /// Parse the `--exec-mode` CLI spelling (`vm` or `walk`).
     pub fn from_cli(s: &str) -> Option<ExecMode> {
         match s {
             "vm" => Some(ExecMode::Vm),
             "walk" => Some(ExecMode::Walk),
-            "par" => Some(ExecMode::Par { threads: 0 }),
-            _ => {
-                let t = s.strip_prefix("par:")?.parse().ok()?;
-                Some(ExecMode::Par { threads: t })
-            }
+            _ => None,
         }
     }
 
-    /// The engine family name (thread count elided).
+    /// The CLI spelling that round-trips through [`ExecMode::from_cli`].
     pub fn name(self) -> &'static str {
         match self {
             ExecMode::Vm => "vm",
             ExecMode::Walk => "walk",
-            ExecMode::Par { .. } => "par",
-        }
-    }
-
-    /// The exact CLI spelling that round-trips through [`from_cli`].
-    pub fn cli_string(self) -> String {
-        match self {
-            ExecMode::Par { threads } if threads != 0 => format!("par:{threads}"),
-            m => m.name().to_string(),
         }
     }
 }
@@ -156,22 +134,22 @@ impl Executable {
     /// When `knobs.memo` is set (and observability is not recording), the
     /// result is memoized on the executable keyed by the full input tuple
     /// `(step_limit, run_index, exec_mode, env)` — sound because execution
-    /// is a pure function of those inputs (DESIGN.md §15.4).
+    /// is a pure function of those inputs (DESIGN.md §15.1).
     pub fn run_with_knobs(&self, env: &EnvConfig, knobs: RunKnobs) -> RunResult {
         if !knobs.memo || acc_obs::active() {
-            return self.run_uncached(env, knobs, false).0;
+            return self.run_uncached(env, knobs);
         }
         let key = format!(
             "{:?}|{}|{}|{:?}",
             knobs.step_limit,
             knobs.run_index,
-            knobs.exec_mode.cli_string(),
+            knobs.exec_mode.name(),
             env
         );
         if let Some(hit) = self.run_memo.lock().expect("run memo poisoned").get(&key) {
             return hit.clone();
         }
-        let result = self.run_uncached(env, knobs, false).0;
+        let result = self.run_uncached(env, knobs);
         self.run_memo
             .lock()
             .expect("run memo poisoned")
@@ -179,18 +157,7 @@ impl Executable {
         result
     }
 
-    /// Run with the VM's opcode-pair profiler enabled and return the
-    /// profile alongside the result (drives `accvv disasm --hot`).
-    pub fn run_profiled(&self, env: &EnvConfig, knobs: RunKnobs) -> (RunResult, VmProfile) {
-        self.run_uncached(env, knobs, true)
-    }
-
-    fn run_uncached(
-        &self,
-        env: &EnvConfig,
-        knobs: RunKnobs,
-        profile_pairs: bool,
-    ) -> (RunResult, VmProfile) {
+    fn run_uncached(&self, env: &EnvConfig, knobs: RunKnobs) -> RunResult {
         let mut m = Machine::new(
             &self.program,
             &self.resolved,
@@ -198,23 +165,9 @@ impl Executable {
             self.concrete_device,
             env,
         );
-        match knobs.exec_mode {
-            ExecMode::Walk => {}
-            ExecMode::Vm => {
-                m.code = Some(&self.code);
-                m.use_vm = true;
-            }
-            ExecMode::Par { threads } => {
-                m.code = Some(&self.code);
-                m.use_vm = true;
-                m.par_threads = Some(threads);
-            }
-        }
-        if profile_pairs {
-            m.pair_profile = Some(
-                vec![0u64; (crate::bytecode::OPCODE_COUNT + 1) * crate::bytecode::OPCODE_COUNT]
-                    .into_boxed_slice(),
-            );
+        if knobs.exec_mode == ExecMode::Vm {
+            m.code = Some(&self.code);
+            m.use_vm = true;
         }
         if let Some(limit) = knobs.step_limit {
             m.step_limit = limit;
@@ -228,68 +181,12 @@ impl Executable {
             acc_obs::counter("memcpy_d2h_bytes", met.bytes_to_host as i64);
             if m.use_vm {
                 acc_obs::counter("vm_instructions", m.vm_instructions as i64);
-                acc_obs::counter("vm_dispatches_fused", m.vm_fused_saved as i64);
-                if m.par_threads.is_some() {
-                    acc_obs::counter("vm_par_launches", m.par_launches as i64);
-                }
             }
         }
-        let profile = VmProfile {
-            instructions: m.vm_instructions,
-            fused_saved: m.vm_fused_saved,
-            pairs: m.pair_profile.take().map(Vec::from).unwrap_or_default(),
-        };
-        (
-            RunResult {
-                outcome,
-                metrics: m.world.metrics.clone(),
-            },
-            profile,
-        )
-    }
-}
-
-/// Telemetry from a profiled VM run (see [`Executable::run_profiled`]).
-#[derive(Debug, Clone, Default)]
-pub struct VmProfile {
-    /// Raw instructions retired — fused superinstructions count as the
-    /// number of constituent instructions they replace, so this number is
-    /// comparable across fused/unfused images and across PRs.
-    pub instructions: u64,
-    /// Dispatches saved by superinstruction fusion (one per fused pair
-    /// executed). `instructions - fused_saved` = actual dispatch count.
-    pub fused_saved: u64,
-    /// Row-major `(prev, next)` opcode-pair execution counts, with one
-    /// extra leading row for chunk entry. Dimensions
-    /// `(OPCODE_COUNT + 1) x OPCODE_COUNT`; empty unless profiling ran.
-    pub pairs: Vec<u64>,
-}
-
-impl VmProfile {
-    /// The `n` hottest adjacent `(prev, next)` opcode pairs, as
-    /// `(prev_name, next_name, count)` descending — the histogram that
-    /// drives superinstruction selection. Chunk-entry pseudo-pairs (an
-    /// instruction with no predecessor) are excluded.
-    pub fn top_pairs(&self, n: usize) -> Vec<(&'static str, &'static str, u64)> {
-        use crate::bytecode::{opcode_name, OPCODE_COUNT};
-        let mut v: Vec<(usize, usize, u64)> = Vec::new();
-        for prev in 0..OPCODE_COUNT {
-            for next in 0..OPCODE_COUNT {
-                let c = self
-                    .pairs
-                    .get(prev * OPCODE_COUNT + next)
-                    .copied()
-                    .unwrap_or(0);
-                if c > 0 {
-                    v.push((prev, next, c));
-                }
-            }
+        RunResult {
+            outcome,
+            metrics: m.world.metrics.clone(),
         }
-        v.sort_by(|a, b| b.2.cmp(&a.2).then_with(|| (a.0, a.1).cmp(&(b.0, b.1))));
-        v.truncate(n);
-        v.into_iter()
-            .map(|(p, q, c)| (opcode_name(p as u8), opcode_name(q as u8), c))
-            .collect()
     }
 }
 
@@ -354,7 +251,7 @@ impl<'a> Frame<'a> {
     fn new(layout: &'a FrameLayout) -> Self {
         Frame {
             layout,
-            slots: crate::arena::take_frame_slots(layout.len()),
+            slots: vec![Slot::default(); layout.len()],
             declare_entries: Vec::new(),
             host_data: Vec::new(),
         }
@@ -434,8 +331,7 @@ pub(crate) struct DevCtx<'m> {
 
 impl<'m> DevCtx<'m> {
     /// A fresh gang-scope context, as constructed once per gang by the
-    /// serial gang loop (also the parallel engine's scratch context for
-    /// capture/bounds evaluation — see `par`).
+    /// gang loop.
     pub(crate) fn for_gang(
         num_gangs: u32,
         num_workers: u32,
@@ -453,8 +349,8 @@ impl<'m> DevCtx<'m> {
             in_gang_loop: false,
             kernels_mode,
             layout,
-            slots: crate::arena::take_slots(layout.len()),
-            owner: crate::arena::take_owners(layout.len()),
+            slots: vec![None; layout.len()],
+            owner: vec![0; layout.len()],
             journals: Vec::new(),
             devptr,
         }
@@ -518,13 +414,6 @@ impl<'m> DevCtx<'m> {
     }
 }
 
-impl Drop for DevCtx<'_> {
-    fn drop(&mut self) {
-        crate::arena::give_slots(std::mem::take(&mut self.slots));
-        crate::arena::give_owners(std::mem::take(&mut self.owner));
-    }
-}
-
 /// A deferred host-visible effect of an async activity.
 #[derive(Debug)]
 enum DeferredEffect {
@@ -573,19 +462,6 @@ pub(crate) struct Machine<'a> {
     /// Lives on the machine, NOT in [`acc_device::Metrics`], because the
     /// walker/VM engine-equivalence invariant compares `Metrics` verbatim.
     pub(crate) vm_instructions: u64,
-    /// Worker-thread count for the parallel gang engine (`Some` iff
-    /// `--exec-mode par[:N]`; 0 = auto). See `par`.
-    pub(crate) par_threads: Option<u16>,
-    /// Dispatches saved by superinstruction fusion (telemetry; see
-    /// `vm_instructions` for why this is not in `Metrics`).
-    pub(crate) vm_fused_saved: u64,
-    /// Regions actually executed by the parallel gang engine this run
-    /// (telemetry; stays 0 whenever a plan bails to the serial path).
-    pub(crate) par_launches: u64,
-    /// Opcode-pair execution counts when profiling (see
-    /// [`Executable::run_profiled`]): `(OPCODE_COUNT + 1) * OPCODE_COUNT`
-    /// slots, leading row = chunk entry.
-    pub(crate) pair_profile: Option<Box<[u64]>>,
     /// Scratch register files recycled across chunk activations.
     pub(crate) reg_pool: Vec<Vec<Value>>,
     /// Per-device-chunk cache of name-id → resolved buffer (the present
@@ -621,20 +497,8 @@ impl<'a> Machine<'a> {
             code: None,
             use_vm: false,
             vm_instructions: 0,
-            par_threads: None,
-            vm_fused_saved: 0,
-            par_launches: 0,
-            pair_profile: None,
             reg_pool: Vec::new(),
             dev_bufs: Vec::new(),
-        }
-    }
-
-    /// Return this run's register files to the thread-local arena so the
-    /// next machine on this thread starts with warm capacity.
-    fn drain_reg_pool(&mut self) {
-        for regs in self.reg_pool.drain(..) {
-            crate::arena::give_regs(regs);
         }
     }
 
@@ -782,9 +646,7 @@ impl<'a> Machine<'a> {
                 break;
             }
         }
-        if let Some(f) = self.frames.pop() {
-            crate::arena::give_frame_slots(f.slots);
-        }
+        self.frames.pop();
         let flow = flow?;
         declare_result?;
         Ok(match flow {
@@ -2068,28 +1930,7 @@ impl<'a> Machine<'a> {
             .iter()
             .map(|(op, _, init, _)| identity_like(*op, *init))
             .collect();
-        // Parallel gang engine fast path: when the region body is a single
-        // provably race-free partitioned nest, execute it as a data-parallel
-        // element kernel over the worker pool instead of the serial gang
-        // loop. `Ok(false)` means the launch declined with no observable
-        // effects — the serial loop below reproduces the exact semantics.
-        let par_done = if let RegionBody::Code(rc) = &body {
-            let has_region_state =
-                !reductions.is_empty() || !private.is_empty() || !firstprivate.is_empty();
-            self.try_par_region(
-                rc,
-                num_gangs,
-                num_workers,
-                vector_len,
-                kernels_mode,
-                layout,
-                &devptr,
-                has_region_state,
-            )?
-        } else {
-            false
-        };
-        for gang in 0..if par_done { 0 } else { num_gangs } {
+        for gang in 0..num_gangs {
             let mut ctx = DevCtx::for_gang(
                 num_gangs,
                 num_workers,
@@ -2850,12 +2691,6 @@ impl<'a> Machine<'a> {
             k += 1;
         }
         Ok(Flow::Normal)
-    }
-}
-
-impl Drop for Machine<'_> {
-    fn drop(&mut self) {
-        self.drain_reg_pool();
     }
 }
 

@@ -23,13 +23,11 @@
 
 #![warn(missing_docs)]
 
-mod arena;
 pub mod bugs;
 pub mod bytecode;
 pub mod cache;
 pub mod driver;
 pub mod exec;
-mod par;
 pub mod vendor;
 mod vm;
 
@@ -37,5 +35,5 @@ pub use bugs::{BugCatalog, BugRecord};
 pub use bytecode::BytecodeProgram;
 pub use cache::{CacheStats, CompileCache};
 pub use driver::{CompileFailure, Executable};
-pub use exec::{ExecMode, RunKnobs, RunOutcome, RunResult, VmProfile};
+pub use exec::{ExecMode, RunKnobs, RunOutcome, RunResult};
 pub use vendor::{VendorCompiler, VendorId};

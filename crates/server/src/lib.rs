@@ -264,7 +264,7 @@ impl SubmissionSpec {
         }
         if let Some(m) = str_field(body, "exec_mode")? {
             spec.exec_mode = ExecMode::from_cli(m)
-                .ok_or_else(|| format!("unknown exec mode `{m}` (vm|walk|par[:N])"))?;
+                .ok_or_else(|| format!("unknown exec mode `{m}` (vm|walk)"))?;
         }
         if let Some(ms) = u64_field(body, "deadline_ms")? {
             if ms == 0 {
@@ -1270,7 +1270,7 @@ mod tests {
     fn same_execution_ignores_scheduling_and_presentation_fields() {
         let a = parse_spec(
             r#"{"vendor":"pgi","version":"13.4","lang":"c","features":["loop"],
-                "repetitions":3,"exec_mode":"par:2","case_deadline_ms":500,
+                "repetitions":3,"exec_mode":"walk","case_deadline_ms":500,
                 "tenant":"alice","weight":9,"format":"csv","deadline_ms":1000}"#,
         )
         .unwrap();
@@ -1297,7 +1297,7 @@ mod tests {
         c.repetitions = None;
         assert!(!a.same_execution(&c), "repetitions are execution-relevant");
         let mut c = a.clone();
-        c.exec_mode = ExecMode::Walk;
+        c.exec_mode = ExecMode::Vm;
         assert!(!a.same_execution(&c), "engine choice is execution-relevant");
         let mut c = a.clone();
         c.case_deadline_ms = None;

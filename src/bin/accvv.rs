@@ -26,7 +26,17 @@ use std::sync::Arc;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let result = match args.first().map(String::as_str) {
+    match check_flags(&args).and_then(|()| run_command(&args)) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("accvv: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+fn run_command(args: &[String]) -> Result<(), String> {
+    match args.first().map(String::as_str) {
         Some("list") => cmd_list(&args[1..]),
         Some("show") => cmd_show(&args[1..]),
         Some("run") => cmd_run(&args[1..]),
@@ -47,13 +57,79 @@ fn main() -> ExitCode {
             Ok(())
         }
         Some(other) => Err(format!("unknown command `{other}` (try `accvv help`)")),
+    }
+}
+
+/// The `--flags` each subcommand's usage text names. Anything else is a
+/// usage error: a misspelled option must not silently run with defaults.
+#[rustfmt::skip]
+const KNOWN_FLAGS: &[(&str, &[&str])] = &[
+    ("list", &[]),
+    ("show", &["--lang", "--cross"]),
+    (
+        "run",
+        &[
+            "--vendor", "--version", "--lang", "--features", "--format", "--repetitions",
+            "--attribute", "--jobs", "--retries", "--backoff-ms", "--case-deadline-ms",
+            "--journal", "--resume", "--out", "--halt-after", "--no-cache", "--exec-mode",
+            "--trace-out", "--metrics-out",
+        ],
+    ),
+    (
+        "serve",
+        &[
+            "--addr", "--store", "--jobs", "--queue-cap", "--breaker-threshold",
+            "--breaker-cooldown-ms", "--retry-after-secs", "--trace-out", "--metrics-out",
+        ],
+    ),
+    (
+        "campaign",
+        &["--vendor", "--no-cache", "--exec-mode", "--trace-out", "--metrics-out"],
+    ),
+    (
+        "bench",
+        &["--iters", "--out", "--no-cache", "--check", "--tolerance-pct", "--overhead-pct"],
+    ),
+    (
+        "history",
+        &[
+            "--store", "--bucket", "--since", "--until", "--by", "--tenant", "--scope",
+            "--latency", "--out", "--check", "--pass-tolerance", "--latency-tolerance-pct",
+        ],
+    ),
+    ("trace", &["--out"]),
+    ("matrix", &["--vendor", "--lang"]),
+    ("bugs", &["--vendor", "--version", "--lang"]),
+    ("expand", &[]),
+    ("disasm", &["--lang", "--cross"]),
+    (
+        "titan",
+        &[
+            "--nodes", "--sample", "--seed", "--fault-rate", "--retries", "--jobs",
+            "--exec-mode", "--sweep", "--lose-node", "--journal", "--resume", "--out",
+            "--halt-after", "--quarantine-after", "--track", "--trace-out", "--metrics-out",
+        ],
+    ),
+    ("torture", &["--seed", "--stride", "--verbose"]),
+    ("selftest", &[]),
+    ("help", &[]),
+];
+
+/// Reject any `--flag` the subcommand does not name in its usage text.
+/// Unknown subcommands are left to the dispatcher's own error.
+fn check_flags(args: &[String]) -> Result<(), String> {
+    let Some(cmd) = args.first() else {
+        return Ok(());
     };
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("accvv: {e}");
-            ExitCode::FAILURE
-        }
+    let Some((_, known)) = KNOWN_FLAGS.iter().find(|(c, _)| c == cmd) else {
+        return Ok(());
+    };
+    match args[1..]
+        .iter()
+        .find(|a| a.starts_with("--") && !known.contains(&a.as_str()))
+    {
+        Some(bad) => Err(format!("{cmd}: unknown flag `{bad}` (try `accvv help`)")),
+        None => Ok(()),
     }
 }
 
@@ -65,14 +141,14 @@ fn print_usage() {
          \x20 accvv show NAME [--lang c|fortran] [--cross]\n\
          \x20 accvv run --vendor caps|pgi|cray|reference [--version X] [--lang c|fortran]\n\
          \x20          [--features P1,P2,…] [--format text|csv|html] [--repetitions M]\n\
-         \x20          [--attribute] [--jobs N] [--retries R] [--case-deadline-ms MS]\n\
-         \x20          [--journal FILE | --resume FILE] [--out FILE] [--halt-after N]\n\
-         \x20          [--no-cache] [--exec-mode vm|walk|par[:N]]\n\
+         \x20          [--attribute] [--jobs N] [--retries R] [--backoff-ms MS]\n\
+         \x20          [--case-deadline-ms MS] [--journal FILE | --resume FILE] [--out FILE]\n\
+         \x20          [--halt-after N] [--no-cache] [--exec-mode vm|walk]\n\
          \x20          [--trace-out FILE] [--metrics-out FILE]\n\
          \x20 accvv serve [--addr HOST:PORT] [--store DIR] [--jobs N] [--queue-cap N]\n\
          \x20            [--breaker-threshold N] [--breaker-cooldown-ms MS]\n\
          \x20            [--retry-after-secs S] [--trace-out FILE] [--metrics-out FILE]\n\
-         \x20 accvv campaign [--vendor caps|pgi|cray] [--no-cache] [--exec-mode vm|walk|par[:N]]\n\
+         \x20 accvv campaign [--vendor caps|pgi|cray] [--no-cache] [--exec-mode vm|walk]\n\
          \x20               [--trace-out FILE] [--metrics-out FILE]\n\
          \x20 accvv bench [--iters N] [--out FILE] [--no-cache]\n\
          \x20            [--check BASELINE [--tolerance-pct P] [--overhead-pct P]]\n\
@@ -85,9 +161,9 @@ fn print_usage() {
          \x20 accvv matrix --vendor caps|pgi|cray [--lang c|fortran]\n\
          \x20 accvv bugs --vendor caps|pgi|cray --version X [--lang c|fortran]\n\
          \x20 accvv expand FILE\n\
-         \x20 accvv disasm NAME [--lang c|fortran] [--cross] [--hot]\n\
+         \x20 accvv disasm NAME [--lang c|fortran] [--cross]\n\
          \x20 accvv titan [--nodes N] [--sample K] [--seed S] [--fault-rate PCT]\n\
-         \x20            [--retries R] [--jobs N]\n\
+         \x20            [--retries R] [--jobs N] [--exec-mode vm|walk]\n\
          \x20 accvv titan --sweep [--nodes N] [--jobs N] [--lose-node ID@AFTER]…\n\
          \x20            [--journal FILE | --resume FILE] [--out FILE] [--halt-after N]\n\
          \x20            [--quarantine-after K] [--track FILE]\n\
@@ -183,13 +259,13 @@ fn parse_vendor(s: &str) -> Result<VendorId, String> {
     }
 }
 
-/// Parse `--exec-mode vm|walk|par[:N]` (defaults to the bytecode VM when
-/// absent; `par` auto-sizes the worker pool, `par:N` pins N threads).
+/// Parse `--exec-mode vm|walk` (defaults to the bytecode VM when absent).
 fn parse_exec_mode(args: &[String]) -> Result<ExecMode, String> {
     match opt(args, "--exec-mode") {
         None => Ok(ExecMode::default()),
-        Some(s) => ExecMode::from_cli(&s)
-            .ok_or_else(|| format!("unknown exec mode `{s}` (vm|walk|par[:N])")),
+        Some(s) => {
+            ExecMode::from_cli(&s).ok_or_else(|| format!("unknown exec mode `{s}` (vm|walk)"))
+        }
     }
 }
 
@@ -801,11 +877,7 @@ fn cmd_expand(args: &[String]) -> Result<(), String> {
 
 /// `accvv disasm NAME`: lower a corpus test to bytecode and print the
 /// stable disassembly (the artifact the VM executes; useful for inspecting
-/// what the register allocator and escape hatches produced). With `--hot`,
-/// additionally run the program under the VM's opcode-pair profiler and
-/// print the histogram driving superinstruction selection, plus raw vs
-/// fused instruction counts so `vm_instructions` stays comparable across
-/// PRs.
+/// what the register allocator and escape hatches produced).
 fn cmd_disasm(args: &[String]) -> Result<(), String> {
     let name = args
         .iter()
@@ -833,35 +905,6 @@ fn cmd_disasm(args: &[String]) -> Result<(), String> {
         .compile_shared(&source, lang)
         .map_err(|e| format!("`{name}` does not compile: {e}"))?;
     print!("{}", exe.disassemble());
-    if flag(args, "--hot") {
-        // Profile the *unfused* image: the histogram must show the raw
-        // pairs that fusion candidates are selected from, not the stream
-        // with those pairs already collapsed.
-        let raw = exe.unfused();
-        let knobs = openacc_vv::compiler::RunKnobs::default();
-        let (_, raw_prof) = raw.run_profiled(&case.env, knobs);
-        let (_, fused_prof) = exe.run_profiled(&case.env, knobs);
-        println!();
-        println!("hot opcode pairs (unfused image):");
-        for (prev, next, count) in raw_prof.top_pairs(12) {
-            println!("  {count:>10}  {prev} -> {next}");
-        }
-        println!();
-        println!(
-            "instructions: raw={} fused-image={} (dispatches {} , saved {})",
-            raw_prof.instructions,
-            fused_prof.instructions,
-            fused_prof.instructions - fused_prof.fused_saved,
-            fused_prof.fused_saved,
-        );
-        if raw_prof.instructions != fused_prof.instructions {
-            return Err(format!(
-                "fused image retired {} instructions but the unfused image retired {} — \
-                 fusion broke instruction accounting",
-                fused_prof.instructions, raw_prof.instructions
-            ));
-        }
-    }
     Ok(())
 }
 

@@ -144,3 +144,47 @@ fn crash_timeout_and_compile_error_taxonomy_all_occur() {
     assert_eq!(total.infra, 0, "no panics in a clean sweep");
     assert_eq!(total.flaky, 0, "no flakes without transient faults");
 }
+
+/// Run the `accvv` binary and return (success, stderr).
+fn accvv(args: &[&str]) -> (bool, String) {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_accvv"))
+        .args(args)
+        .output()
+        .expect("spawn accvv");
+    (
+        out.status.success(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+#[test]
+fn cli_rejects_flags_its_usage_does_not_name() {
+    // A misspelled option fails before any case runs, naming the flag.
+    let (ok, err) = accvv(&[
+        "run",
+        "--vendor",
+        "pgi",
+        "--version",
+        "12.6",
+        "--featurs",
+        "loop",
+        "--bogus-flag",
+    ]);
+    assert!(!ok, "a misspelled flag must exit nonzero");
+    assert!(err.contains("unknown flag `--featurs`"), "{err}");
+    assert!(
+        !err.contains("case(s) failed"),
+        "the suite must not run: {err}"
+    );
+    // A flag the subcommand no longer has is rejected too.
+    let (ok, err) = accvv(&["disasm", "loop.gang", "--hot"]);
+    assert!(!ok);
+    assert!(err.contains("unknown flag `--hot`"), "{err}");
+    // A known flag with an unknown value names the accepted engines.
+    let (ok, err) = accvv(&["campaign", "--vendor", "caps", "--exec-mode", "par"]);
+    assert!(!ok);
+    assert!(err.contains("unknown exec mode `par` (vm|walk)"), "{err}");
+    // The accepted spelling still works.
+    let (ok, err) = accvv(&["disasm", "loop.gang", "--lang", "c"]);
+    assert!(ok, "{err}");
+}

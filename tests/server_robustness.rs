@@ -577,6 +577,14 @@ fn report_before_completion_is_409_and_unknown_ids_404() {
     let bad_vendor = http(addr, "POST", "/v1/submit", Some("{\"vendor\":\"gcc\"}"));
     assert_eq!(bad_vendor.status, 400);
     assert!(bad_vendor.body.contains("unknown vendor"), "{}", bad_vendor.body);
+    let bad_mode = http(
+        addr,
+        "POST",
+        "/v1/submit",
+        Some("{\"vendor\":\"reference\",\"exec_mode\":\"par\"}"),
+    );
+    assert_eq!(bad_mode.status, 400);
+    assert!(bad_mode.body.contains("vm|walk"), "{}", bad_mode.body);
 
     assert_eq!(http(addr, "POST", "/v1/resume", None).status, 200);
     poll_state(addr, &id, &["done"], Duration::from_secs(60));
